@@ -244,21 +244,24 @@ void Core::advance() {
   mark_schedule_dirty();
 }
 
-std::uint64_t Core::drain_until(Cycles horizon) {
+Core::Drained Core::drain_until(Cycles horizon) {
   // Fused form of `while (next_action_time_uncached() < horizon)
   // advance();` — the parallel epoch engine's inner loop. Identical
   // observable behavior (same delivery order, same fault draws, same
   // step/advance accounting), but the wake-time recompute and the
   // advance dispatch share one runnable()/peek pass per iteration
   // instead of three.
-  std::uint64_t advances = 0;
+  Drained d;
   auto& faults = machine_.fault_injector();
   const bool faults_on = faults.enabled();
   for (;;) {
     if (runnable()) {
-      if (clock_ >= horizon) break;
+      if (clock_ >= horizon) {
+        d.next = clock_;
+        break;
+      }
       ++steps_;
-      ++advances;
+      ++d.advances;
       deliver_due_events();
       if (runnable()) {
         if (faults_on) {
@@ -284,14 +287,18 @@ std::uint64_t Core::drain_until(Cycles horizon) {
     const Cycles cb_t = callback_inbox_.peek_time();
     const Cycles irq_t = irq_enabled_ ? irq_inbox_.peek_time() : kNever;
     const Cycles t = std::min(cb_t, irq_t);
-    if (t == kNever || std::max(t, clock_) >= horizon) break;
+    // Also exits an idle core with nothing deliverable (t == kNever).
+    if (const Cycles next = std::max(t, clock_); next >= horizon) {
+      d.next = next;
+      break;
+    }
     ++steps_;
-    ++advances;
+    ++d.advances;
     advance_to(t);
     deliver_due_events();
     mark_schedule_dirty();
   }
-  return advances;
+  return d;
 }
 
 }  // namespace iw::hwsim

@@ -226,12 +226,21 @@ class Core {
   /// (or jump the clock to the next event if idle).
   void advance();
 
+  /// What a shard drain leaves behind: the advances it executed and
+  /// the core's next action time at exit (what
+  /// next_action_time_uncached() would return there, >= the horizon).
+  struct Drained {
+    std::uint64_t advances{0};
+    Cycles next{kNever};
+  };
+
   /// Advance repeatedly while the next action lies strictly before
-  /// `horizon`; returns the number of advances executed. Exactly
-  /// equivalent to `while (next_action_time_uncached() < horizon)
-  /// advance();` but with the recompute/dispatch passes fused — the
-  /// parallel epoch engine's budgetless shard drain.
-  std::uint64_t drain_until(Cycles horizon);
+  /// `horizon`. Exactly equivalent to `while (next_action_time_uncached()
+  /// < horizon) advance();` but with the recompute/dispatch passes fused
+  /// — the parallel epoch engine's budgetless shard drain. The exit test
+  /// already computes the next action time, so it is returned rather
+  /// than rescanned by the caller.
+  Drained drain_until(Cycles horizon);
 
   /// Commit one analytic skip (machine-only: the quiet-window proof
   /// lives in Machine::try_fast_forward). Moves the clock through the

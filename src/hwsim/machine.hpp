@@ -162,7 +162,8 @@ struct MachineConfig {
   bool work_stealing{true};
   /// Cross-check every frontier decision against a full linear scan and
   /// abort on divergence. O(N) per advance — a debugging aid for driver
-  /// invalidation bugs, not for production runs.
+  /// invalidation bugs, not for production runs. In per-core parallel
+  /// mode it checks every epoch's reduced minimum the same way.
   bool paranoid_frontier{false};
   /// Analytic skip-ahead over proven-quiet windows (off by default;
   /// results are bit-identical either way — see FastForwardPolicy).

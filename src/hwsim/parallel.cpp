@@ -29,13 +29,20 @@
 //    run them (the queue head bounds the horizon, and the queue wins
 //    time ties, matching the seed scheduler).
 //  * Work stealing moves nothing observable. The deques assign each
-//    shard to exactly one claimant per epoch (Chase–Lev take/steal are
-//    mutually exclusive), and a shard's drain writes only core-keyed
-//    state: its claimed outbox slots, its scratch registry, its
-//    per-core trace buffer, and its own per-source sequence and fault
-//    RNG counters. The barrier merges all of those deterministically.
+//    chunk of contiguous shards to exactly one claimant per epoch
+//    (Chase–Lev take/steal are mutually exclusive), and a shard's drain
+//    writes only core-keyed state: its claimed outbox slots, its
+//    scratch registry, its per-core trace buffer, and its own
+//    per-source sequence and fault RNG counters. The barrier merges all
+//    of those deterministically.
 //    So WHICH host thread drained a shard — the only thing stealing
-//    changes — is invisible to traces, metrics, and machine state.
+//    and the chunk size change — is invisible to traces, metrics, and
+//    machine state.
+//  * Reduced epoch minimum. The next epoch start is the minimum of the
+//    per-thread drain tallies and the merge targets' next actions (see
+//    parallel_run_per_core), and min/max/sum folds do not depend on
+//    which thread drained which core, so the barriers fall at the same
+//    times as with a full scan.
 //
 // ShardPolicy::kSingleGroup keeps the same epoch structure but drains
 // the one shard with the sequential pick loop itself — safe for
@@ -44,6 +51,8 @@
 #include "hwsim/parallel.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -77,7 +86,10 @@ ParallelEngine::ParallelEngine(Machine& machine, unsigned threads,
   threads_ = std::max(1u, std::min(threads, cores));
   lanes_.resize(cores);
   outbox_.configure(arena_, cores);
+  chunk_ = std::clamp(cores / (threads_ * 16), 1u, 32u);
+  num_chunks_ = (cores + chunk_ - 1) / chunk_;
   deques_ = std::make_unique<ShardDeque[]>(threads_);
+  tallies_ = std::make_unique<TallySlot[]>(threads_);
   workers_.reserve(threads_ - 1);
   for (unsigned b = 1; b < threads_; ++b) {
     workers_.emplace_back([this, b] { worker_main(b); });
@@ -100,37 +112,54 @@ void ParallelEngine::set_scratch_enabled(bool on) {
 }
 
 bool ParallelEngine::drain_core(unsigned core, Cycles horizon,
-                                std::uint64_t* advances) {
+                                EpochTally* tally) {
   Core& c = machine_.core(core);
   Lane& lane = lanes_[core];
   Machine::ExecScope scope(machine_, core + 1, lane.scratch.get(),
                            &outbox_);
+  Cycles next;
   if (budget_limit_ == 0) {
     // Hot path: the fused per-core drain (one runnable()/peek pass per
-    // advance instead of a separate wake-time recompute + dispatch).
-    *advances += c.drain_until(horizon);
-    return true;
-  }
-  // Watchdog-bounded epoch: claim a budget slot before every advance.
-  // fetch_add hands out at most budget_limit_ sub-limit slots across
-  // all threads, so the epoch executes at most that many events no
-  // matter how shards are distributed.
-  while (c.next_action_time_uncached() < horizon) {
-    if (budget_used_.fetch_add(1, std::memory_order_relaxed) >=
-        budget_limit_) {
-      return false;
+    // advance instead of a separate wake-time recompute + dispatch),
+    // which hands back the next action time its exit test computed.
+    const Core::Drained d = c.drain_until(horizon);
+    tally->advances += d.advances;
+    next = d.next;
+  } else {
+    // Watchdog-bounded epoch: claim a budget slot before every advance.
+    // fetch_add hands out at most budget_limit_ sub-limit slots across
+    // all threads, so the epoch executes at most that many events no
+    // matter how shards are distributed.
+    while ((next = c.next_action_time_uncached()) < horizon) {
+      if (budget_used_.fetch_add(1, std::memory_order_relaxed) >=
+          budget_limit_) {
+        tally->complete = false;
+        break;
+      }
+      c.advance();
+      ++tally->advances;
     }
-    c.advance();
-    ++*advances;
+  }
+  tally->next = std::min(tally->next, next);
+  tally->max_clock = std::max(tally->max_clock, c.clock());
+  return tally->complete;
+}
+
+bool ParallelEngine::drain_chunk(unsigned chunk, Cycles horizon,
+                                 EpochTally* tally) {
+  const unsigned lo = chunk * chunk_;
+  const unsigned hi = std::min(lo + chunk_, machine_.num_cores());
+  for (unsigned core = lo; core < hi; ++core) {
+    if (!drain_core(core, horizon, tally)) return false;
   }
   return true;
 }
 
 void ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
-  // Advances accumulate thread-locally and publish once per epoch: the
-  // total is a per-core sum, so it is independent of which thread
-  // drained which shard.
-  std::uint64_t adv = 0;
+  // The tally accumulates thread-locally and publishes once per epoch:
+  // its sum/min/max folds are independent of which thread drained
+  // which chunk.
+  EpochTally tally;
   bool budget_out = false;
   // Own block first (locality: a thread re-touches the same cores every
   // epoch while the load is balanced).
@@ -138,16 +167,16 @@ void ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
   for (;;) {
     const int s = own.take();
     if (s < 0) break;
-    if (!drain_core(static_cast<unsigned>(s), horizon, &adv)) {
+    if (!drain_chunk(static_cast<unsigned>(s), horizon, &tally)) {
       budget_out = true;
       break;
     }
   }
   if (steal_enabled_ && !budget_out) {
-    // Steal sweep: keep claiming from any victim that still has shards;
-    // finish only after a full sweep that neither claimed a shard nor
+    // Steal sweep: keep claiming from any victim that still has chunks;
+    // finish only after a full sweep that neither claimed a chunk nor
     // lost a race (a lost race means someone else claimed — re-sweep so
-    // no shard is left behind).
+    // no chunk is left behind).
     for (;;) {
       bool claimed = false;
       bool contended = false;
@@ -162,7 +191,7 @@ void ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
           }
           steals_.fetch_add(1, std::memory_order_relaxed);
           claimed = true;
-          if (!drain_core(static_cast<unsigned>(s), horizon, &adv)) {
+          if (!drain_chunk(static_cast<unsigned>(s), horizon, &tally)) {
             budget_out = true;
             break;
           }
@@ -171,7 +200,7 @@ void ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
       if (budget_out || (!claimed && !contended)) break;
     }
   }
-  advances_total_.fetch_add(adv, std::memory_order_relaxed);
+  tallies_[self].v = tally;
 }
 
 void ParallelEngine::worker_main(unsigned self) {
@@ -189,27 +218,25 @@ void ParallelEngine::worker_main(unsigned self) {
   }
 }
 
-std::uint64_t ParallelEngine::drain_epoch(Cycles horizon,
-                                          std::uint64_t max_advances) {
+ParallelEngine::EpochTally ParallelEngine::drain_epoch(
+    Cycles horizon, std::uint64_t max_advances) {
   budget_limit_ = max_advances;
   budget_used_.store(0, std::memory_order_relaxed);
-  advances_total_.store(0, std::memory_order_relaxed);
   if (threads_ == 1) {
     // Threadless path: the coordinator drains every shard itself — no
     // deques, no barrier, still the same shard-local event order.
-    std::uint64_t adv = 0;
+    EpochTally tally;
     for (unsigned i = 0; i < machine_.num_cores(); ++i) {
-      if (!drain_core(i, horizon, &adv)) break;
+      if (!drain_core(i, horizon, &tally)) break;
     }
-    return adv;
+    return tally;
   }
-  // Seed the deques with the static block partition; stealing
-  // rebalances from there. Workers are parked (previous epoch fully
-  // acked), and the release-store of epoch_ below publishes the
+  // Seed the deques with a static block partition of the chunks;
+  // stealing rebalances from there. Workers are parked (previous epoch
+  // fully acked), and the release-store of epoch_ below publishes the
   // reset before any worker claims.
-  const unsigned cores = machine_.num_cores();
-  const unsigned base = cores / threads_;
-  const unsigned rem = cores % threads_;
+  const unsigned base = num_chunks_ / threads_;
+  const unsigned rem = num_chunks_ % threads_;
   for (unsigned b = 0; b < threads_; ++b) {
     const unsigned lo = b * base + std::min(b, rem);
     deques_[b].reset(lo, base + (b < rem ? 1 : 0));
@@ -223,18 +250,26 @@ std::uint64_t ParallelEngine::drain_epoch(Cycles horizon,
   while (done_.load(std::memory_order_acquire) != expect) {
     if (++spins > kSpinsBeforeYield) std::this_thread::yield();
   }
-  // The done_ acquire above ordered every worker's advance publication
-  // before this read (and the epoch is over, so no thread is writing).
-  return advances_total_.load(std::memory_order_relaxed);
+  // The done_ acquire above ordered every worker's tally slot write
+  // before these reads (and the epoch is over, so no thread is writing).
+  EpochTally tally = tallies_[0].v;
+  for (unsigned b = 1; b < threads_; ++b) tally.fold(tallies_[b].v);
+  return tally;
 }
 
-void ParallelEngine::merge_outboxes() {
+Cycles ParallelEngine::merge_outboxes() {
   // Target-id order, claim order within a lane — both unobservable (see
   // IpiOutbox in parallel.hpp). The coordinator has no outbox in scope
   // here, so enqueue_ipi pushes straight into the target inboxes. O(1)
-  // when the epoch staged nothing.
-  outbox_.drain(
-      [this](CoreId to, const IrqEvent& ev) { machine_.enqueue_ipi(to, ev); });
+  // when the epoch staged nothing. Adding an event never raises a
+  // core's next action time, so the minimum over per-delivery
+  // recomputes equals the minimum over the targets' final times.
+  Cycles next = kNever;
+  outbox_.drain([this, &next](CoreId to, const IrqEvent& ev) {
+    machine_.enqueue_ipi(to, ev);
+    next = std::min(next, machine_.core(to).next_action_time_uncached());
+  });
+  return next;
 }
 
 void ParallelEngine::merge_scratch_metrics(obs::MetricsRegistry* into) {
@@ -316,12 +351,57 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
   if (time_watchdog) {
     ff_want = std::min(ff_want, saturating_add(cfg_.max_time, 1));
   }
+  // The epoch minimum `e` and the frontier clock `clock_max` come from
+  // the previous epoch's reduction: the per-thread tallies (every core
+  // reports its next action time and clock at drain exit) plus the
+  // targets merge_outboxes delivered to. Between a shard's drain exit
+  // and the next epoch, only a merged delivery can change a core's next
+  // action, and only a drain moves its clock. Wherever state changes
+  // outside a shard drain, the O(cores) scan runs instead: at run entry
+  // (callers may mutate drivers between runs), after a machine-queue
+  // turn or a fast-forward commit, after an epoch the advance budget
+  // cut short, and on every epoch when a stop predicate (which may
+  // touch state) is set.
+  // The scan also names the earliest core (lowest id on ties), which
+  // the paranoid cross-check reports.
+  const auto scan = [this] {
+    std::pair<Cycles, unsigned> m{kNever, 0};
+    for (unsigned i = 0; i < num_cores(); ++i) {
+      const Cycles t = cores_[i]->next_action_time_uncached();
+      if (t < m.first) m = {t, i};
+    }
+    return m;
+  };
+  bool rescan = true;
+  Cycles e = kNever;
+  Cycles clock_max = 0;
   per_core_drain_active_ = true;
   bool ok = true;
   for (;;) {
     // Stop predicate and watchdogs are barrier-granular in this mode.
     if (stop && stop()) break;
-    if (time_watchdog && now() > cfg_.max_time) {
+    if (rescan || stop) {
+      e = scan().first;
+      if (time_watchdog) clock_max = now();
+      rescan = false;
+    } else if (cfg_.paranoid_frontier) {
+      // Paranoid cross-check of the per-thread reduction. A mismatch
+      // means some core's next action moved outside its own shard drain
+      // and the merge — typically a driver whose runnable() reads state
+      // another core's context mutated.
+      const auto [scanned, due] = scan();
+      if (scanned != e) {
+        char msg[192];
+        std::snprintf(msg, sizeof msg,
+                      "per-core epoch minimum diverged: the full scan finds "
+                      "core %u due at %llu, the per-thread reduction says "
+                      "%llu",
+                      due, static_cast<unsigned long long>(scanned),
+                      static_cast<unsigned long long>(e));
+        IW_ASSERT_MSG(scanned == e, msg);
+      }
+    }
+    if (time_watchdog && clock_max > cfg_.max_time) {
       IW_LOG_WARN("machine watchdog: virtual time limit %llu exceeded",
                   static_cast<unsigned long long>(cfg_.max_time));
       ok = false;
@@ -339,10 +419,9 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
     // stride may exceed the lookahead: the skipped steps are certified
     // inert, so there is no cross-core effect for the lookahead bound
     // to order against.
-    if (cfg_.fast_forward.enabled && try_fast_forward(ff_want)) continue;
-    Cycles e = kNever;
-    for (auto& c : cores_) {
-      e = std::min(e, c->next_action_time_uncached());
+    if (cfg_.fast_forward.enabled && try_fast_forward(ff_want)) {
+      rescan = true;
+      continue;
     }
     // Machine-queue turn (queue wins time ties, seed semantics): run
     // due machine events with every shard parked. They may post core
@@ -357,6 +436,7 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
       } else {
         machine_queue_.take_fn(ev.fn)();
       }
+      rescan = true;
       continue;
     }
     if (e == kNever || e >= until) break;  // quiescent / target reached
@@ -368,7 +448,7 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
       // clamp changes only where the barriers fall, never which events
       // run, so results stay bit-identical. The max() keeps at least
       // the earliest event (at time e) eligible, guaranteeing progress
-      // so the watchdog can observe now() crossing the limit.
+      // so the watchdog can observe the frontier crossing the limit.
       horizon = std::min(horizon, saturating_add(cfg_.max_time, 1));
       horizon = std::max(horizon, saturating_add(e, 1));
     }
@@ -379,8 +459,12 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
     // the budget is always >= 1 and progress is guaranteed.
     std::uint64_t budget = 0;
     if (advance_watchdog) budget = cfg_.max_advances + 1 - advances_;
-    advances_ += parallel_->drain_epoch(horizon, budget);
-    parallel_->merge_outboxes();
+    const ParallelEngine::EpochTally tally =
+        parallel_->drain_epoch(horizon, budget);
+    advances_ += tally.advances;
+    e = std::min(tally.next, parallel_->merge_outboxes());
+    clock_max = std::max(clock_max, tally.max_clock);
+    rescan = !tally.complete;
   }
   per_core_drain_active_ = false;
   parallel_->merge_scratch_metrics(metrics_);

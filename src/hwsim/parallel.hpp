@@ -11,15 +11,22 @@
 // parallel.cpp for the determinism argument.
 //
 // Shard scheduling inside an epoch is work-stealing (HVM2-style): each
-// host thread owns a Chase–Lev deque of shard ids seeded with a static
+// host thread owns a Chase–Lev deque of chunk ids — a chunk is a run of
+// contiguous cores, sized from the machine shape — seeded with a static
 // block at epoch start; when a thread's own deque runs dry it steals
-// shards from loaded victims, so one hot shard no longer serializes the
+// chunks from loaded victims, so one hot shard no longer serializes the
 // epoch. Stealing moves only *which host thread* drains a shard — every
-// shard-side effect is keyed by core id (lane outbox, scratch registry,
-// per-core trace buffer, per-source sequence/RNG streams) and merged in
-// core-id order at the barrier, so results are independent of the
-// claim interleaving. MachineConfig::work_stealing=false pins shards to
-// their static blocks (the pre-stealing behavior) for A/B comparison.
+// shard-side effect is keyed by core id (outbox lane, scratch registry,
+// per-core trace buffer, per-source sequence/RNG streams), and the
+// barrier's merges depend only on those keyed contents, never on their
+// arrival order, so results are independent of the claim interleaving.
+// MachineConfig::work_stealing=false pins chunks to their static blocks
+// (the pre-stealing behavior) for A/B comparison.
+//
+// Each host thread also reduces what its drains learned — advances, the
+// minimum next-action time and the maximum clock over the cores it
+// drained — into a private padded slot, so the coordinator folds
+// `threads` slots per epoch instead of rescanning every core.
 //
 // Host-thread handshake: a monotone epoch counter published with
 // release semantics, acknowledged through a cumulative done counter.
@@ -150,7 +157,7 @@ class IpiOutbox {
 
 /// Per-thread shard queue: a Chase–Lev work-stealing deque specialized
 /// to the epoch engine's lifecycle. The backing "array" is the dense
-/// shard-id range [base, base + size) written once per epoch while all
+/// chunk-id range [base, base + size) written once per epoch while all
 /// workers are parked, and nothing pushes during a drain — so only the
 /// owner's take() and thieves' steal() are needed, and there is no
 /// array growth or ABA hazard. take() claims from the high-index end
@@ -165,7 +172,7 @@ struct alignas(64) ShardDeque {
   std::atomic<std::int64_t> top{0};     // thieves claim index top
   std::atomic<std::int64_t> bottom{0};  // owner claims index bottom-1
 
-  /// Re-seed with a fresh shard block. Workers must be parked (the
+  /// Re-seed with a fresh chunk block. Workers must be parked (the
   /// epoch publish that follows orders this store for them).
   void reset(std::uint32_t b, std::uint32_t n) {
     base = b;
@@ -174,7 +181,7 @@ struct alignas(64) ShardDeque {
     bottom.store(static_cast<std::int64_t>(n), std::memory_order_relaxed);
   }
 
-  /// Owner-only: claim the next shard id, or kEmpty.
+  /// Owner-only: claim the next chunk id, or kEmpty.
   int take() {
     std::int64_t b = bottom.load(std::memory_order_relaxed) - 1;
     bottom.store(b, std::memory_order_relaxed);
@@ -193,7 +200,7 @@ struct alignas(64) ShardDeque {
     return static_cast<int>(base + static_cast<std::uint32_t>(b));
   }
 
-  /// Thief: claim one shard id from the top, or kEmpty / kAbort.
+  /// Thief: claim one chunk id from the top, or kEmpty / kAbort.
   int steal() {
     std::int64_t t = top.load(std::memory_order_acquire);
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -209,6 +216,27 @@ struct alignas(64) ShardDeque {
 
 class ParallelEngine {
  public:
+  /// What an epoch's drains report to the coordinator, reduced over
+  /// the cores drained. Every term is an order-independent fold (sum,
+  /// min, max), so it does not depend on which thread drained what.
+  struct EpochTally {
+    std::uint64_t advances{0};
+    /// Minimum next-action time over the drained cores at drain exit.
+    Cycles next{kNever};
+    /// Maximum core clock over the drained cores at drain exit.
+    Cycles max_clock{0};
+    /// False when the advance budget ran out: some cores were left
+    /// mid-drain or undrained, so `next` and `max_clock` are partial.
+    bool complete{true};
+
+    void fold(const EpochTally& o) {
+      advances += o.advances;
+      next = std::min(next, o.next);
+      max_clock = std::max(max_clock, o.max_clock);
+      complete = complete && o.complete;
+    }
+  };
+
   /// `threads` is the total host threads used per epoch, including the
   /// coordinator (clamped to [1, num_cores]); `threads - 1` workers are
   /// spawned and parked until the first epoch. `steal` enables
@@ -221,7 +249,7 @@ class ParallelEngine {
 
   [[nodiscard]] unsigned threads() const { return threads_; }
   [[nodiscard]] bool steal_enabled() const { return steal_enabled_; }
-  /// Successful shard steals since construction (observability only;
+  /// Successful chunk steals since construction (observability only;
   /// the count is host-schedule-dependent, results never are).
   [[nodiscard]] std::uint64_t steals() const {
     return steals_.load(std::memory_order_relaxed);
@@ -237,15 +265,18 @@ class ParallelEngine {
   /// bounds the advances performed this epoch (0 = unbounded): when the
   /// shared budget is exhausted every thread stops claiming and
   /// draining, so a watchdog-bounded run overshoots by at most the
-  /// in-flight events. Returns the total advances performed. On return
-  /// all shards are parked.
-  std::uint64_t drain_epoch(Cycles horizon, std::uint64_t max_advances = 0);
+  /// in-flight events. Returns the per-thread tallies folded together.
+  /// On return all shards are parked.
+  EpochTally drain_epoch(Cycles horizon, std::uint64_t max_advances = 0);
 
   /// Flush the staged outbox deliveries into the target inboxes
   /// (target-id order, slot-claim order within a target — both
   /// unobservable, see IpiOutbox). Coordinator-only, between epochs.
-  /// O(1) when the epoch staged nothing.
-  void merge_outboxes();
+  /// O(1) when the epoch staged nothing. Returns the minimum next-action
+  /// time over the cores it delivered to (kNever if none): a delivery
+  /// can only pull its target's next action earlier, and one the target
+  /// cannot take yet (interrupts disabled) leaves it unchanged.
+  Cycles merge_outboxes();
 
   /// Fold the per-core scratch registries into `into`, in core-id
   /// order, and clear them. Coordinator-only, at run end.
@@ -272,11 +303,17 @@ class ParallelEngine {
     std::unique_ptr<obs::MetricsRegistry> scratch;
   };
 
-  /// Drain one shard, accumulating its advances into `*advances`;
-  /// returns false when the epoch advance budget ran out mid-drain
-  /// (callers stop claiming shards).
-  bool drain_core(unsigned core, Cycles horizon, std::uint64_t* advances);
+  struct alignas(64) TallySlot {
+    EpochTally v;
+  };
+
+  /// Drain one shard, folding it into `*tally`; returns false when the
+  /// epoch advance budget ran out mid-drain (callers stop claiming).
+  bool drain_core(unsigned core, Cycles horizon, EpochTally* tally);
+  /// Drain the contiguous cores of one chunk (same contract).
+  bool drain_chunk(unsigned chunk, Cycles horizon, EpochTally* tally);
   /// One thread's share of an epoch: drain the own deque, then steal.
+  /// Publishes the thread's tally into its slot.
   void drain_pool(unsigned self, Cycles horizon);
   void worker_main(unsigned self);
 
@@ -288,9 +325,19 @@ class ParallelEngine {
   EpochArena arena_;
   IpiOutbox outbox_;
   std::vector<Lane> lanes_;  // one per core
+  /// Cores per claim: clamp(cores / (threads * 16), 1, 32). Sixteen
+  /// chunks per thread leave stealing room to rebalance, 32 cores per
+  /// claim amortize the claim's fence, and small machines keep
+  /// one-core claims so a hot core never drags its neighbors along.
+  unsigned chunk_{1};
+  unsigned num_chunks_{0};
   /// One deque per host thread (array: ShardDeque holds atomics and is
   /// neither movable nor copyable).
   std::unique_ptr<ShardDeque[]> deques_;
+  /// One tally slot per host thread. A worker writes its slot before
+  /// its done_ release; the coordinator reads all slots after the
+  /// matching acquire.
+  std::unique_ptr<TallySlot[]> tallies_;
 
   // Per-epoch advance budget (0 = unlimited). budget_used_ is a shared
   // pre-claim counter: a thread advances only after claiming a slot
@@ -299,12 +346,6 @@ class ParallelEngine {
   std::atomic<std::uint64_t> budget_used_{0};
 
   std::atomic<std::uint64_t> steals_{0};
-
-  /// Epoch advance total: each thread adds its local count once per
-  /// epoch (a per-core sum, so the value is claim-order-independent).
-  /// Workers' relaxed adds are ordered before the coordinator's read by
-  /// the done_-counter release/acquire handshake.
-  std::atomic<std::uint64_t> advances_total_{0};
 
   // Epoch handshake (workers_ == threads_ - 1 spawned threads).
   Cycles horizon_{0};  // published-before epoch_ store
