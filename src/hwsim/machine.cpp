@@ -1,6 +1,7 @@
 #include "hwsim/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -11,11 +12,11 @@
 namespace iw::hwsim {
 
 namespace {
-/// Below this core count the frontier heap is bypassed for a direct
-/// scan over the cached per-core next-action values: the committed
-/// des_throughput calibration shows heap maintenance losing to the
-/// scan at 2 cores (0.84x vs linear) and winning by 8 (1.42x).
-constexpr std::size_t kFrontierDirectScanMax = 4;
+/// kAuto resolves to kLinearScan at or below this core count: with so
+/// few cores a full scan per advance costs no more than maintaining a
+/// frontier index (committed des_throughput calibration: the frontier
+/// index at 0.84x of linear at 2 cores, 1.42x by 8).
+constexpr std::size_t kAutoLinearScanMax = 4;
 
 /// Fast-forward trigger backoff, in advances between attempts: a failed
 /// quiet proof costs an O(cores) scan, so a busy region must not pay it
@@ -37,7 +38,7 @@ Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   IW_ASSERT_MSG(cfg.num_cores < 0xFFFF, "too many cores for source ids");
   sched_ = cfg.scheduler;
   if (sched_ == SchedulerKind::kAuto) {
-    sched_ = cfg.num_cores <= kFrontierDirectScanMax
+    sched_ = cfg.num_cores <= kAutoLinearScanMax
                  ? SchedulerKind::kLinearScan
                  : SchedulerKind::kFrontier;
   }
@@ -77,6 +78,9 @@ Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   if (cfg.inbox_reserve != 0) {
     machine_queue_.reserve(cfg.inbox_reserve);
     for (auto& c : cores_) c->reserve_inboxes(cfg.inbox_reserve);
+  }
+  if (sched_ == SchedulerKind::kFrontier) {
+    frontier_.assign(2 * std::bit_ceil(std::size_t{cfg.num_cores}), kIdleKey);
   }
   // Cores are born dirty but could not register while cores_ was still
   // being filled; seed the frontier index now.
@@ -294,20 +298,7 @@ void Machine::frontier_enqueue_dirty(CoreId id) {
   dirty_cores_.push_back(id);
 }
 
-void Machine::frontier_push(Cycles t, CoreId core) {
-  IW_ASSERT_MSG(t < (Cycles{1} << (64 - kFrontierCoreBits)),
-                "virtual time overflows the packed frontier entry");
-  frontier_.push_back((t << kFrontierCoreBits) | core);
-  std::push_heap(frontier_.begin(), frontier_.end(), entry_later);
-}
-
-void Machine::frontier_pop() {
-  std::pop_heap(frontier_.begin(), frontier_.end(), entry_later);
-  frontier_.pop_back();
-}
-
 void Machine::refresh_frontier() {
-  frontier_.clear();
   dirty_cores_.clear();
   for (auto& c : cores_) {
     *c->sched_dirty_ = 1;
@@ -315,38 +306,33 @@ void Machine::refresh_frontier() {
   }
 }
 
+Machine::FrontierEntry Machine::frontier_key(Cycles t, CoreId core) {
+  if (t == kNever) return kIdleKey;
+  IW_ASSERT_MSG(t < (Cycles{1} << (64 - kFrontierCoreBits)),
+                "virtual time overflows the packed frontier key");
+  return (t << kFrontierCoreBits) | core;
+}
+
+void Machine::frontier_set(CoreId core, Cycles t) {
+  FrontierEntry* tree = frontier_.data();
+  std::size_t i = frontier_.size() / 2 + core;  // leaf L + core
+  tree[i] = frontier_key(t, core);
+  // Each level is one min over the sibling pair; the trip count is
+  // log2(L) whatever the keys are, so the path has no data-dependent
+  // branch.
+  for (; i > 1; i >>= 1) tree[i >> 1] = std::min(tree[i], tree[i ^ 1]);
+}
+
 Machine::Pick Machine::frontier_peek() {
-  if (cores_.size() <= kFrontierDirectScanMax) {
-    // Small-machine path: skip the heap entirely and take the min over
-    // the cached per-core values (recomputed lazily where dirty). Same
-    // tie-breaks as the heap: lowest core id, machine queue first.
-    dirty_cores_.clear();
-    Pick best{machine_queue_.peek_time(), nullptr};
-    for (auto& c : cores_) {
-      const Cycles t = c->next_action_time();
-      if (t < best.time) best = {t, c.get()};
-    }
-    return best;
-  }
   // Re-index every core whose schedule changed since the last peek.
   for (const CoreId id : dirty_cores_) {
-    const Cycles t = cores_[id]->next_action_time();  // recomputes + cleans
-    if (t != kNever) frontier_push(t, id);
+    frontier_set(id, cores_[id]->next_action_time());  // recomputes + cleans
   }
   dirty_cores_.clear();
-  // Discard stale heap entries: an entry speaks for a core only while
-  // its time matches the core's current (clean) cached value. The fresh
-  // value, if any, was pushed when the core was re-indexed above.
-  while (!frontier_.empty()) {
-    const FrontierEntry top = frontier_.front();
-    if (sched_time_[entry_core(top)] == entry_time(top)) break;
-    frontier_pop();
-  }
   const Cycles mq_t = machine_queue_.peek_time();
-  if (frontier_.empty()) return {mq_t, nullptr};
-  const FrontierEntry top = frontier_.front();
+  const FrontierEntry top = frontier_[1];
   // The machine queue wins time ties (seed scheduler semantics).
-  if (mq_t <= entry_time(top)) return {mq_t, nullptr};
+  if (top == kIdleKey || mq_t <= entry_time(top)) return {mq_t, nullptr};
   return {entry_time(top), cores_[entry_core(top)].get()};
 }
 

@@ -5,12 +5,11 @@
 // Scheduling: the loop always advances the entity (core or machine
 // queue) with the globally smallest next-action timestamp. The
 // interchangeable schedulers produce bit-identical event orderings:
-//  * kFrontier (default) — an incrementally-maintained lazy min-heap
-//    over per-core cached next_action_time values. Cores re-register
-//    through dirty-marking invalidation hooks, so one simulated event
-//    costs O(log N) instead of an O(N) rescan. Below a calibrated core
-//    count the heap is bypassed for a direct scan over the cached
-//    values (heap maintenance costs more than the scan at small N).
+//  * kFrontier (default) — a min-tournament tree over per-core cached
+//    next_action_time values, one leaf per core. Cores re-register
+//    through dirty-marking invalidation hooks; each re-registration
+//    rewrites one leaf and its root path, so one simulated event costs
+//    O(log N) instead of an O(N) rescan.
 //  * kLinearScan — the original reference scheduler: a full uncached
 //    scan per advance. Kept as the golden semantics for equivalence
 //    tests and as the baseline for bench/des_throughput.
@@ -544,13 +543,16 @@ class Machine final : public substrate::StackSubstrate {
     Core* core{nullptr};
   };
 
-  /// Packed frontier heap entry: (time << 16) | core — one word, so
-  /// heap maintenance and the (time, id) tie-break are a single integer
-  /// compare and sift-down moves 8 bytes instead of 16. Virtual times
-  /// are asserted < 2^48 at push (~3 days of simulated time at 1 GHz);
-  /// core ids fit 16 bits (asserted at construction).
+  /// Packed frontier tree key: (time << 16) | core — one word, so the
+  /// (time, id) tie-break is a single integer compare. Virtual times
+  /// are asserted < 2^48 when a leaf is written (~3 days of simulated
+  /// time at 1 GHz); core ids fit 16 bits (asserted at construction),
+  /// so no real key equals kIdleKey.
   using FrontierEntry = std::uint64_t;
   static constexpr unsigned kFrontierCoreBits = 16;
+  /// Leaf value of a core with nothing to do (next action kNever), and
+  /// of the padding leaves past the last core.
+  static constexpr FrontierEntry kIdleKey = ~FrontierEntry{0};
   [[nodiscard]] static constexpr Cycles entry_time(FrontierEntry e) {
     return e >> kFrontierCoreBits;
   }
@@ -592,10 +594,15 @@ class Machine final : public substrate::StackSubstrate {
   void paranoid_replay(Cycles horizon);
   [[nodiscard]] Pick frontier_peek();
   [[nodiscard]] Pick linear_peek();
-  /// Rebuild the frontier index from scratch (run() entry): makes any
-  /// driver-state mutation performed outside the loop safe even if the
-  /// owner forgot to mark the core dirty.
+  /// Mark every core dirty so the next frontier_peek() rewrites every
+  /// leaf (run() entry, snapshot restore): makes any driver-state
+  /// mutation performed outside the loop safe even if the owner forgot
+  /// to mark the core dirty.
   void refresh_frontier();
+  /// `core`'s leaf value for next action time `t`.
+  [[nodiscard]] static FrontierEntry frontier_key(Cycles t, CoreId core);
+  /// Write `core`'s leaf and recompute the minima on its root path.
+  void frontier_set(CoreId core, Cycles t);
 
   // kParallelEpoch entry points (src/hwsim/parallel.cpp).
   bool parallel_run(const std::function<bool()>& stop, Cycles until);
@@ -624,13 +631,6 @@ class Machine final : public substrate::StackSubstrate {
   Cycles* now_cell() { return &now_cache_; }
   void frontier_enqueue_dirty(CoreId id);
 
-  /// Packed-integer order IS the (time, core-id) lexicographic order.
-  static constexpr bool entry_later(FrontierEntry a, FrontierEntry b) {
-    return a > b;
-  }
-  void frontier_push(Cycles t, CoreId core);
-  void frontier_pop();
-
   MachineConfig cfg_;
   SchedulerKind sched_{SchedulerKind::kFrontier};  // kAuto resolved away
   Cycles now_cache_{0};
@@ -642,16 +642,17 @@ class Machine final : public substrate::StackSubstrate {
   obs::TraceRecorder* tracer_{nullptr};
   obs::MetricsRegistry* metrics_{nullptr};
   EventQueue machine_queue_;
-  /// Lazy min-heap of packed (time, core) candidates ordered by
-  /// (time, id). Entries may be stale; frontier_peek() discards any
-  /// whose time no longer matches the core's current cached
-  /// next_action_time.
+  /// Min-tournament tree over packed (time, core) keys, kFrontier only
+  /// (empty otherwise): 2 * L words for L = next_pow2(cores). Leaf
+  /// L + c holds core c's key (kIdleKey when it has nothing to do);
+  /// inner node i holds min(node 2i, node 2i + 1), so node 1 is the
+  /// earliest core, lowest id first on time ties. Node 0 is unused.
   std::vector<FrontierEntry> frontier_;
   std::vector<CoreId> dirty_cores_;
   /// Dense SoA mirror of the per-core scheduling caches (cached
   /// next-action time + dirty flag), indexed by core id. The sequential
   /// schedulers point every core's cache-slot pointers here, so the
-  /// frontier direct scan, the heap staleness check, and the
+  /// frontier leaf updates, the linear cross-check, and the
   /// fast-forward quiet proof stream over contiguous arrays instead of
   /// chasing one pointer per core into padded Core objects. Empty in
   /// per-core parallel mode (cores keep private padded cells there;

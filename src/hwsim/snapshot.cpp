@@ -17,7 +17,7 @@
 //    part of the format: closures capture pointers into the machine and
 //    workload objects, which stay valid only for the original instance.
 //
-// What is deliberately NOT captured: scheduling caches (frontier heap,
+// What is deliberately NOT captured: scheduling caches (frontier tree,
 // dirty lists, cached next-action times, the now() caches) — all
 // derived from core/queue state and rebuilt on restore by marking every
 // core dirty; vector tables and drivers (structural wiring, not state);
@@ -435,7 +435,7 @@ void Machine::restore(const Snapshot& s) {
   // Rebuild the derived scheduling state: the now() caches are a pure
   // function of the (monotone) core clocks, and refresh_frontier marks
   // every core dirty so the next run recomputes all cached next-action
-  // times and reseeds the frontier heap.
+  // times and rebuilds the frontier tree.
   Cycles max_clock = 0;
   for (const auto& c : cores_) max_clock = std::max(max_clock, c->clock_);
   if (!per_core_now_.empty()) {

@@ -13,7 +13,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
+#include <vector>
 
 #include "common/types.hpp"
 #include "mem/tlb.hpp"
@@ -69,11 +69,35 @@ class DemandPaging final : public PagingPolicy {
   explicit DemandPaging(Config cfg);
   Cycles touch(Addr addr) override;
   [[nodiscard]] const Tlb& tlb() const { return tlb_; }
+  /// Bytes of populated-page bitmap allocated so far: one chunk per
+  /// touched kChunkPages-page range, however sparse the touches.
+  [[nodiscard]] std::size_t bitmap_bytes() const {
+    return chunks_.size() * kChunkWords * sizeof(std::uint64_t);
+  }
+
+  /// Pages per bitmap chunk (a 4 KiB chunk covers 128 MiB of 4 KiB
+  /// pages).
+  static constexpr unsigned kChunkBits = 15;
+  static constexpr std::uint64_t kChunkPages = std::uint64_t{1} << kChunkBits;
 
  private:
+  static constexpr std::size_t kChunkWords = kChunkPages / 64;
+
+  /// One populated bit per page of a kChunkPages-aligned range.
+  struct Chunk {
+    std::uint64_t base{0};  ///< page >> kChunkBits
+    std::unique_ptr<std::uint64_t[]> bits;
+  };
+
+  /// The chunk covering pages with `base`, allocated on first touch.
+  std::uint64_t* chunk_bits(std::uint64_t base);
+
   Config cfg_;
   Tlb tlb_;
-  std::unordered_set<std::uint64_t> populated_;
+  /// Populated-page set, sorted by base. Touch streams stay within a
+  /// chunk for long runs, so the last chunk used is checked first.
+  std::vector<Chunk> chunks_;
+  std::size_t last_chunk_{0};
 };
 
 }  // namespace iw::mem

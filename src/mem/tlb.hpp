@@ -1,4 +1,5 @@
-// Fully-associative LRU TLB model with cycle accounting.
+// Fully-associative LRU TLB model with cycle accounting. Fixed-size
+// slot arrays searched by a linear scan: no access allocates.
 //
 // The paper's argument (§I, §IV-A): identity mapping with the largest
 // possible pages means TLB entries can cover the whole physical address
@@ -8,8 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
 #include "substrate/substrate.hpp"
@@ -49,10 +49,23 @@ class Tlb {
   [[nodiscard]] const TlbConfig& config() const { return cfg_; }
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  void unlink(std::uint32_t slot);
+  void push_front(std::uint32_t slot);
+
   TlbConfig cfg_;
-  // LRU list of page numbers, most-recent at front; map for O(1) lookup.
-  std::list<std::uint64_t> lru_;
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> map_;
+  // Resident pages live in slots [0, used_) of `entries` fixed slots,
+  // found by a linear scan (production TLBs have 32 or 64 entries).
+  // Recency is an intrusive doubly linked list over slot indices, most
+  // recent at head_, so a hit relinks two indices and a miss reuses
+  // tail_'s slot.
+  std::vector<std::uint64_t> page_;
+  std::vector<std::uint32_t> prev_;
+  std::vector<std::uint32_t> next_;
+  std::uint32_t head_{kNone};
+  std::uint32_t tail_{kNone};
+  std::uint32_t used_{0};
   std::uint64_t hits_{0};
   std::uint64_t misses_{0};
 

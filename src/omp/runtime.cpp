@@ -135,29 +135,51 @@ Cycles translation_cost(ThreadedRun& run, unsigned wid,
   return c;
 }
 
-/// Arm the Linux OS-noise generator on every core: an endless callback
-/// chain that steals a burst of CPU at lognormal intervals.
-void arm_linux_noise(hwsim::Machine& m, const OmpConfig& cfg) {
-  if (cfg.noise_gap_us <= 0.0) return;
-  const auto& freq = cfg.costs.freq;
-  for (unsigned c = 0; c < m.num_cores(); ++c) {
-    auto rng = std::make_shared<Rng>(m.rng().split());
-    auto& core = m.core(c);
-    auto schedule = std::make_shared<std::function<void(Cycles)>>();
-    *schedule = [&core, rng, schedule, &freq, cfg](Cycles from) {
-      const Cycles gap = freq.us_to_cycles(
-          rng->lognormal_median(cfg.noise_gap_us, 0.5));
-      const Cycles at = from + gap;
-      core.post_callback(at, [&core, rng, schedule, &freq, cfg, at] {
-        const Cycles burst = freq.us_to_cycles(
-            rng->lognormal_median(cfg.noise_burst_us, 0.8));
-        core.consume(burst);
-        (*schedule)(at);
-      });
-    };
-    (*schedule)(0);
+/// The Linux OS-noise generator: on every core, an endless chain of
+/// core events that each steal a burst of CPU, at lognormal intervals.
+/// One registered sink serves all cores; each core draws from its own
+/// Rng, split from the machine's in core order.
+class LinuxNoise final : public hwsim::EventSink {
+ public:
+  LinuxNoise(hwsim::Machine& m, const OmpConfig& cfg)
+      : m_(m),
+        freq_(cfg.costs.freq),
+        gap_us_(cfg.noise_gap_us),
+        burst_us_(cfg.noise_burst_us),
+        sink_(m.register_event_sink(this)) {
+    rngs_.reserve(m.num_cores());
+    for (unsigned c = 0; c < m.num_cores(); ++c) {
+      rngs_.push_back(m.rng().split());
+      post_next(m.core(c), 0);
+    }
   }
-}
+  // The chain never quiesces, so its events outlive the run: a later
+  // dispatch must hit the unregistered-sink check, not a dead object.
+  ~LinuxNoise() { m_.unregister_event_sink(sink_); }
+  LinuxNoise(const LinuxNoise&) = delete;
+  LinuxNoise& operator=(const LinuxNoise&) = delete;
+
+  void on_core_event(hwsim::Core& core, Cycles at,
+                     const hwsim::EventPayload&) override {
+    core.consume(freq_.us_to_cycles(
+        rngs_[core.id()].lognormal_median(burst_us_, 0.8)));
+    post_next(core, at);
+  }
+
+ private:
+  void post_next(hwsim::Core& core, Cycles from) {
+    const Cycles gap = freq_.us_to_cycles(
+        rngs_[core.id()].lognormal_median(gap_us_, 0.5));
+    core.post_event(from + gap, sink_, {});
+  }
+
+  hwsim::Machine& m_;
+  ClockFreq freq_;
+  double gap_us_;
+  double burst_us_;
+  hwsim::SinkId sink_;
+  std::vector<Rng> rngs_;
+};
 
 nautilus::StepResult worker_step(ThreadedRun& run, unsigned wid,
                                  nautilus::ThreadContext& ctx) {
@@ -355,7 +377,10 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
     run.spin_barrier = std::make_unique<SpinBarrier>(cfg.num_threads);
     run.spin_barrier->set_timeout(cfg.barrier_timeout);
   }
-  if (cfg.mode == OmpMode::kLinux) arm_linux_noise(m, cfg);
+  std::unique_ptr<LinuxNoise> noise;
+  if (cfg.mode == OmpMode::kLinux && cfg.noise_gap_us > 0.0) {
+    noise = std::make_unique<LinuxNoise>(m, cfg);
+  }
 
   for (unsigned wid = 0; wid < cfg.num_threads; ++wid) {
     nautilus::ThreadConfig tc;

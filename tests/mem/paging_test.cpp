@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
+#include <set>
+#include <string>
+
 #include "common/rng.hpp"
 #include "mem/tlb.hpp"
 
@@ -87,6 +93,107 @@ TEST(PagingComparison, IdentityBeatsDemandOnSameStream) {
   }
   EXPECT_LT(ident_cost * 10, demand_cost)
       << "identity mapping should be >10x cheaper on a scattered stream";
+}
+
+/// Reference fully-associative LRU: a std::list of pages, most recent
+/// first, searched linearly. Tlb must agree with it access for access.
+class ReferenceLru {
+ public:
+  ReferenceLru(unsigned entries, std::uint64_t page_size, Cycles walk)
+      : entries_(entries), page_size_(page_size), walk_(walk) {}
+  Cycles access(Addr addr) {
+    const std::uint64_t page = addr / page_size_;
+    const auto it = std::find(lru_.begin(), lru_.end(), page);
+    if (it != lru_.end()) {
+      lru_.splice(lru_.begin(), lru_, it);
+      ++hits;
+      return 0;
+    }
+    ++misses;
+    if (lru_.size() == entries_) lru_.pop_back();
+    lru_.push_front(page);
+    return walk_;
+  }
+  void flush() { lru_.clear(); }
+  std::uint64_t hits{0};
+  std::uint64_t misses{0};
+
+ private:
+  unsigned entries_;
+  std::uint64_t page_size_;
+  Cycles walk_;
+  std::list<std::uint64_t> lru_;
+};
+
+TEST(Tlb, MatchesReferenceLruOnRandomStreams) {
+  // Streams mix a hot set about twice the TLB size (so hits, misses and
+  // evictions all happen), far-flung pages across the whole 64-bit
+  // space, pages that differ only in high bits, and occasional
+  // flushes.
+  for (const unsigned entries : {1u, 2u, 3u, 16u, 64u, 1000u}) {
+    Tlb tlb(TlbConfig{entries, 4096, 0, 130});
+    ReferenceLru ref(entries, 4096, 130);
+    Rng r(entries * 7919 + 1);
+    const std::uint64_t hot_pages = 2ULL * entries + 1;
+    for (int i = 0; i < 60000; ++i) {
+      const std::uint64_t pick = r.uniform(0, 99);
+      if (pick == 0 && r.uniform(0, 49) == 0) {
+        tlb.flush();
+        ref.flush();
+        continue;
+      }
+      Addr a = 0;
+      if (pick < 80) {
+        a = r.uniform(0, hot_pages - 1) * 4096 + r.uniform(0, 4095);
+      } else if (pick < 90) {
+        // Pages that differ only in high bits.
+        a = (r.uniform(0, 15) << 44) | (r.uniform(0, 3) << 12);
+      } else {
+        a = r.next_u64();
+      }
+      const Cycles want = ref.access(a);
+      ASSERT_EQ(tlb.access(a), want)
+          << "entries=" << entries << " access " << i;
+    }
+    EXPECT_EQ(tlb.hits(), ref.hits) << "entries=" << entries;
+    EXPECT_EQ(tlb.misses(), ref.misses) << "entries=" << entries;
+    EXPECT_GT(ref.hits, 0u) << "entries=" << entries;
+    EXPECT_GT(ref.misses, 0u) << "entries=" << entries;
+  }
+}
+
+TEST(DemandPaging, SparseHighPagesFaultOnceInBoundedMemory) {
+  // Pages near 2^40 and 2^52 (the top of a 64-bit address space at
+  // 4 KiB pages), scattered over short runs: each distinct page faults
+  // exactly once, and the populated-page set allocates only the bitmap
+  // chunks those pages fall in.
+  DemandPaging::Config cfg;
+  cfg.minor_fault_cost = 1000;
+  DemandPaging p(cfg);
+  std::set<std::uint64_t> pages;
+  std::set<std::uint64_t> chunks;
+  Rng r(11);
+  // The first run straddles a chunk boundary; the second ends at the
+  // last page a 64-bit address can name.
+  for (const std::uint64_t base : {(std::uint64_t{1} << 40) - 6000,
+                                   (std::uint64_t{1} << 52) - 3 * 4096 - 1}) {
+    for (int i = 0; i < 3000; ++i) {
+      const std::uint64_t page = base + r.uniform(0, 3 * 4096);
+      pages.insert(page);
+      chunks.insert(page / DemandPaging::kChunkPages);
+      p.touch(page * 4096 + r.uniform(0, 4095));
+    }
+  }
+  p.touch(0);
+  pages.insert(0);
+  chunks.insert(0);
+  EXPECT_EQ(p.stats().minor_faults, pages.size());
+  EXPECT_EQ(p.stats().fault_cycles, pages.size() * 1000);
+  // Touching every page again faults nothing.
+  for (const std::uint64_t page : pages) p.touch(page * 4096);
+  EXPECT_EQ(p.stats().minor_faults, pages.size());
+  EXPECT_EQ(p.bitmap_bytes(), chunks.size() * DemandPaging::kChunkPages / 8);
+  EXPECT_LE(p.bitmap_bytes(), std::size_t{5} * 4096);
 }
 
 }  // namespace
