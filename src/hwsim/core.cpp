@@ -192,11 +192,12 @@ void Core::commit_fast_forward(const FastForwardPlan& plan) {
   // dump_state, digests, and the advance watchdog upstream) is
   // bit-identical to having stepped the window.
   steps_ += plan.steps;
+  // The driver commits first, so it still sees the window's start clock.
+  driver_->apply_fast_forward(*this, plan);
   // consume() is the charge path: Machine::charge delegates here, so
   // the skip moves the clock exactly as charged work does — the now()
   // cache and the dirty-marking invalidation both stay exact.
   consume(plan.end_clock - clock_);
-  driver_->apply_fast_forward(*this, plan);
   // The driver may have gone idle (or changed its runnable answer) at
   // the committed state; consume() already invalidated, but be explicit
   // in case a zero-delta future variant skips it.

@@ -86,9 +86,10 @@ class CoreDriver {
   }
 
   /// Commit driver-internal state for a plan the machine is applying
-  /// (e.g. decrement a remaining-work counter by plan.steps). The
-  /// machine moves the core clock and the step/advance accounting
-  /// itself; this hook must not touch the core.
+  /// (e.g. decrement a remaining-work counter by plan.steps). Called
+  /// before the machine moves the core clock, so core.clock() is still
+  /// the window's start. The machine moves the clock and the
+  /// step/advance accounting itself; this hook must not touch the core.
   virtual void apply_fast_forward(Core& core, const FastForwardPlan& plan) {
     (void)core;
     (void)plan;

@@ -535,32 +535,57 @@ bool Machine::try_fast_forward(Cycles want) {
   const FastForwardPolicy& pol = cfg_.fast_forward;
   const QuietProof proof = quiet_proof(want);
   if (!proof.skippable) return false;  // nothing to skip
-  const Cycles h = proof.horizon;
+  Cycles h = proof.horizon;
   // kNever horizon means endless provable quiet — with no boundary
   // event there is nothing to fast-forward *to*; the machine would spin
   // forever either way, and the caller's watchdogs own that case.
   if (h == kNever) return false;
   // Profitability: the proof scan is O(cores); a window that replays
   // only a few steps per core is cheaper to execute for real.
-  if (h <= saturating_add(proof.earliest_clock, pol.min_skip)) return false;
+  const auto profitable = [&] {
+    return h > saturating_add(proof.earliest_clock, pol.min_skip);
+  };
+  if (!profitable()) return false;
   // Driver certification, the second half of the proof obligation:
   // every runnable core below the horizon must certify its steps inert
-  // and supply the exact stepped trajectory. One decline aborts the
-  // whole window — that driver's steps could post events anywhere,
-  // invalidating every other core's plan.
+  // and supply the exact stepped trajectory. A core whose driver
+  // declines bounds the window at its clock instead of aborting it: its
+  // next step starts at that clock, after every replayed step (all
+  // start strictly below h), which is where the stepped DES runs it
+  // too, so whatever it posts can only reach picks ordered after the
+  // window (DESIGN.md §8).
   ff_plans_.clear();
-  std::uint64_t total_steps = 0;
+  bool lowered = false;
   for (auto& c : cores_) {
     if (c->clock() >= h || !c->runnable()) continue;
     FastForwardPlan plan;
-    CoreDriver* d = c->driver();
-    if (d == nullptr || !d->plan_fast_forward(*c, h, &plan)) return false;
-    IW_ASSERT_MSG(plan.steps >= 1 && plan.end_clock > c->clock(),
-                  "fast-forward plan must replay at least one step");
-    total_steps += plan.steps;
-    ff_plans_.emplace_back(c.get(), plan);
+    if (c->driver()->plan_fast_forward(*c, h, &plan)) {
+      ff_plans_.emplace_back(c.get(), plan);
+      continue;
+    }
+    h = c->clock();
+    lowered = true;
+    if (!profitable()) return false;
+  }
+  // Plans made before a lowering targeted a larger horizon: re-plan
+  // every core still below the final one. No decline is expected here,
+  // but one still aborts (declining is always safe).
+  if (lowered) {
+    ff_plans_.clear();
+    for (auto& c : cores_) {
+      if (c->clock() >= h || !c->runnable()) continue;
+      FastForwardPlan plan;
+      if (!c->driver()->plan_fast_forward(*c, h, &plan)) return false;
+      ff_plans_.emplace_back(c.get(), plan);
+    }
   }
   if (ff_plans_.empty()) return false;
+  std::uint64_t total_steps = 0;
+  for (const auto& [core, plan] : ff_plans_) {
+    IW_ASSERT_MSG(plan.steps >= 1 && plan.end_clock > core->clock(),
+                  "fast-forward plan must replay at least one step");
+    total_steps += plan.steps;
+  }
   // Advance-budget equivalence: replayed steps count as advances, so a
   // skip that would cross max_advances must fall back to stepping — the
   // watchdog then fires at the identical advance it would in full

@@ -114,11 +114,13 @@ struct PendingIpi {
 /// stall before a horizon T (prove_quiet_until) — and every runnable
 /// core's driver certifies its steps in the window as inert
 /// (CoreDriver::plan_fast_forward), the cores jump to T analytically in
-/// O(cores) instead of event-stepping. The skip is *exact*, not
-/// approximate: traces, metrics, fault schedules, per-core clocks and
-/// step counts, and the advance watchdog are all bit-identical with
-/// fast-forward on or off (tests/hwsim/fast_forward_test.cpp holds the
-/// equivalence matrix), so enabling it is purely a wall-clock choice.
+/// O(cores) instead of event-stepping. A core whose driver declines
+/// lowers T to its clock instead of cancelling the jump. The skip is
+/// *exact*, not approximate: traces, metrics, fault schedules, per-core
+/// clocks and step counts, and the advance watchdog are all
+/// bit-identical with fast-forward on or off
+/// (tests/hwsim/fast_forward_test.cpp holds the equivalence matrix), so
+/// enabling it is purely a wall-clock choice.
 struct FastForwardPolicy {
   bool enabled{false};
   /// Minimum profitable window, measured past the earliest runnable

@@ -302,4 +302,31 @@ void Kernel::step(hwsim::Core& core) {
   }
 }
 
+bool Kernel::plan_fast_forward(hwsim::Core& core, Cycles horizon,
+                               hwsim::FastForwardPlan* plan) {
+  const Cpu& cpu = cpus_[core.id()];
+  Thread* t = cpu.current;
+  if (t == nullptr || !cpu.rr_ready.empty() || !cpu.edf_ready.empty() ||
+      !t->cfg_.inert_step_cost) {
+    return false;
+  }
+  ThreadContext ctx{*t, core, *this};
+  const Cycles cost = t->cfg_.inert_step_cost(ctx, horizon);
+  if (cost == 0) return false;
+  // Steps start at clock, clock + cost, ...: every one below the
+  // horizon runs, the last carrying the clock to/past it.
+  plan->steps = (horizon - core.clock() + cost - 1) / cost;
+  plan->end_clock = core.clock() + plan->steps * cost;
+  return true;
+}
+
+void Kernel::apply_fast_forward(hwsim::Core& core,
+                                const hwsim::FastForwardPlan& plan) {
+  // What plan.steps uncontended kContinue steps leave behind.
+  Cpu& cpu = cpus_[core.id()];
+  cpu.current->steps_ += plan.steps;
+  cpu.current->run_cycles_ += plan.end_clock - core.clock();
+  cpu.need_resched = false;
+}
+
 }  // namespace iw::nautilus

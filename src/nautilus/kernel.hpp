@@ -121,6 +121,14 @@ class Kernel final : public hwsim::CoreDriver {
   // --- CoreDriver ---
   bool runnable(hwsim::Core& core) override;
   void step(hwsim::Core& core) override;
+  /// Certifies only a core whose current thread runs uncontended (empty
+  /// ready queues) and whose ThreadConfig::inert_step_cost certifies:
+  /// such a step is the body plus the kContinue bookkeeping, nothing
+  /// else (no pick, no switch, no slice preemption).
+  bool plan_fast_forward(hwsim::Core& core, Cycles horizon,
+                         hwsim::FastForwardPlan* plan) override;
+  void apply_fast_forward(hwsim::Core& core,
+                          const hwsim::FastForwardPlan& plan) override;
 
  private:
   struct Cpu {

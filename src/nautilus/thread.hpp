@@ -54,6 +54,15 @@ struct ThreadContext {
 
 using ThreadBody = std::function<StepResult(ThreadContext&)>;
 
+/// Fast-forward certification for a thread's steps (see
+/// hwsim::CoreDriver::plan_fast_forward). Returns the fixed cycle cost
+/// of every step `body` would take while the core clock is below
+/// `horizon`, if each of them is an inert kContinue: it may read
+/// anything but writes, posts, draws, records and wakes nothing (the
+/// kernel commits the thread's steps() and run_cycles() itself).
+/// Returns 0 to decline. Must not mutate anything.
+using InertStepCost = std::function<Cycles(ThreadContext&, Cycles horizon)>;
+
 struct ThreadConfig {
   std::string name{"thread"};
   CoreId bound_core{0};
@@ -61,6 +70,8 @@ struct ThreadConfig {
   bool realtime{false};
   Cycles rt_relative_deadline{0};  // EDF deadline from admission time
   ThreadBody body;
+  /// Optional; without it the thread's steps are never fast-forwarded.
+  InertStepCost inert_step_cost;
 };
 
 class Thread {

@@ -8,9 +8,8 @@
 namespace iw::omp {
 
 void SpinBarrier::check_timeout(hwsim::Core& core, Cycles entered) const {
-  if (timeout_ == 0) return;
   const Cycles now = core.clock();
-  if (now <= entered || now - entered <= timeout_) return;
+  if (!timed_out(now, entered)) return;
   std::fprintf(stderr,
                "PANIC: omp barrier timeout on core %u: waited %llu cycles "
                "(limit %llu), %u/%u arrived\n",

@@ -40,6 +40,11 @@ class SpinBarrier {
   void set_timeout(Cycles timeout) { timeout_ = timeout; }
   [[nodiscard]] Cycles timeout() const { return timeout_; }
 
+  /// Would a poll at `now` by a spinner that arrived at `entered` trip
+  /// the hang detector?
+  [[nodiscard]] bool timed_out(Cycles now, Cycles entered) const {
+    return timeout_ != 0 && now > entered && now - entered > timeout_;
+  }
   /// Spin-loop check: `entered` is the spinner's barrier-arrival time on
   /// `core`'s clock. Panics (dump + abort) when the timeout is exceeded.
   void check_timeout(hwsim::Core& core, Cycles entered) const;

@@ -321,6 +321,27 @@ nautilus::StepResult worker_step(ThreadedRun& run, unsigned wid,
   return nautilus::StepResult::done(1);
 }
 
+/// Fast-forward certification of worker `wid`'s barrier spin (the
+/// ThreadConfig::inert_step_cost hook). While the generation it waits on
+/// has not flipped, each kSpinWait step is one spin_cost() poll that
+/// reads generation_ and writes nothing; only the last arriver's kWork
+/// step writes generation_, and that step is never certified, so it
+/// bounds every window. Declines outside a spin, and when the hang
+/// detector would fire at a poll below `horizon` (that poll must run to
+/// panic at the same clock).
+Cycles inert_spin_cost(const ThreadedRun& run, unsigned wid, Cycles clock,
+                       Cycles horizon) {
+  const WorkerState& ws = run.workers[wid];
+  if (ws.s != WorkerState::S::kSpinWait ||
+      run.spin_barrier->passed(ws.barrier_gen)) {
+    return 0;
+  }
+  constexpr Cycles kCost = SpinBarrier::spin_cost();
+  const Cycles last_poll = clock + (horizon - 1 - clock) / kCost * kCost;
+  if (run.spin_barrier->timed_out(last_poll, ws.barrier_enter)) return 0;
+  return kCost;
+}
+
 OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
   hwsim::MachineConfig mc;
   mc.num_cores = cfg.num_threads;
@@ -328,6 +349,9 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
   mc.seed = cfg.seed;
   mc.max_advances = 4'000'000'000ULL;
   mc.scheduler = cfg.scheduler;
+  // Barrier waits are runs of inert spin polls (inert_spin_cost); skipping
+  // them changes no result, only host time.
+  mc.fast_forward.enabled = true;
   hwsim::Machine m(mc);
   m.set_tracer(cfg.tracer);
   m.set_metrics(cfg.metrics);
@@ -391,6 +415,10 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
     tc.body = [&run, wid](nautilus::ThreadContext& ctx) {
       return worker_step(run, wid, ctx);
     };
+    tc.inert_step_cost = [&run, wid](nautilus::ThreadContext& ctx,
+                                     Cycles horizon) {
+      return inert_spin_cost(run, wid, ctx.core.clock(), horizon);
+    };
     k->spawn(std::move(tc));
   }
 
@@ -406,6 +434,9 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
   }
   res.barriers_passed = run.barriers_passed;
   res.syscalls = lx ? lx->syscall_count() : 0;
+  res.advances = m.total_advances();
+  res.fast_forwarded_steps = m.fast_forwarded_steps();
+  res.fast_forward_windows = m.fast_forward_windows();
   std::uint64_t hits = 0, misses = 0;
   for (auto& p : run.paging) {
     if (auto* dp = dynamic_cast<mem::DemandPaging*>(p.get())) {
@@ -480,6 +511,7 @@ OmpResult run_cck(const workloads::MiniApp& app, const OmpConfig& cfg) {
   OmpResult res;
   res.makespan = m.now();
   res.tasks_executed = k.stats().tasks.executed;
+  res.advances = m.total_advances();
   (void)total_tasks;
   return res;
 }

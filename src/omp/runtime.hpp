@@ -88,6 +88,12 @@ struct OmpResult {
   std::uint64_t tasks_executed{0};
   std::uint64_t syscalls{0};
   double tlb_miss_rate{0.0};
+  /// DES accounting of the run's machine: advances (fast-forwarded
+  /// steps included, so equal with skipping on or off), and the spin
+  /// polls replayed analytically and the windows they came in.
+  std::uint64_t advances{0};
+  std::uint64_t fast_forwarded_steps{0};
+  std::uint64_t fast_forward_windows{0};
 };
 
 /// Run one mini-app under one mode on a fresh machine.

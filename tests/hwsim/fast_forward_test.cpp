@@ -14,11 +14,13 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hwsim/fault_plan.hpp"
 #include "hwsim/lapic.hpp"
 #include "hwsim/machine.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "substrate/substrate.hpp"
 
@@ -91,6 +93,122 @@ class UncertifiedSpinDriver final : public hwsim::CoreDriver {
 /// Cache-line-private IRQ tally (handlers on different shards).
 struct alignas(64) IrqCell {
   std::uint64_t v{0};
+};
+
+/// Endless non-inert work that declines certification: every step
+/// charges an uneven cycle count, records a trace instant and a metric,
+/// and every third step IPIs a spinner. Running beside certifying
+/// spinners, it is the straggler every skip window must stop at.
+class DecliningWorkDriver final : public hwsim::CoreDriver {
+ public:
+  DecliningWorkDriver(unsigned cores, Cycles base, unsigned spinners)
+      : base_(base), spinners_(spinners), steps_(cores) {}
+
+  bool runnable(hwsim::Core&) override { return true; }
+  void step(hwsim::Core& core) override {
+    const std::uint64_t n = ++steps_[core.id()].v;
+    core.consume(base_ + (n * 37 + core.id() * 11) % 1'900);
+    auto& m = core.machine();
+    if (auto* tr = m.tracer()) {
+      tr->instant(core.id(), "work.step", core.clock());
+    }
+    if (auto* mx = m.metrics()) mx->record("bench.ff_work_step", core.clock());
+    if (n % 3 == 0) {
+      m.send_ipi(core, static_cast<CoreId>((n + core.id()) % spinners_), 0x41);
+    }
+  }
+
+ private:
+  Cycles base_;
+  unsigned spinners_;
+  std::vector<IrqCell> steps_;
+};
+
+/// Per-core state and the machine's accounting after a mixed run.
+struct MixedResult {
+  std::uint64_t hash{0};
+  std::string metrics;
+  std::vector<Cycles> clocks;
+  std::vector<std::uint64_t> steps;
+  std::uint64_t advances{0};
+  std::uint64_t ipis{0};
+  std::uint64_t stalls{0};
+  std::uint64_t ff_steps{0};
+  std::uint64_t ff_windows{0};
+  std::uint64_t ff_paranoid{0};
+  bool ok{false};
+};
+
+/// Cores [0, spinners) spin with certification (and take the workers'
+/// IPIs); the rest run DecliningWorkDriver with different step sizes.
+MixedResult run_mixed(hwsim::SchedulerKind sched, hwsim::FastForwardPolicy ff,
+                      const char* faults = nullptr) {
+  constexpr unsigned kCores = 8;
+  constexpr unsigned kSpinners = 6;
+  hwsim::MachineConfig mc;
+  mc.num_cores = kCores;
+  mc.scheduler = sched;
+  mc.shard_policy = hwsim::ShardPolicy::kPerCore;
+  mc.threads = 2;
+  mc.fast_forward = ff;
+  if (faults != nullptr) {
+    std::string err;
+    EXPECT_TRUE(hwsim::FaultPlan::parse(faults, &mc.faults, &err)) << err;
+  }
+  hwsim::Machine m(mc);
+  obs::TraceRecorder tr;
+  obs::MetricsRegistry mx;
+  m.set_tracer(&tr);
+  m.set_metrics(&mx);
+  FfSpinDriver spin(kCores, 60, 1u << 30);
+  DecliningWorkDriver work(kCores, 2'000, kSpinners);
+  for (unsigned i = 0; i < kCores; ++i) {
+    auto& core = m.core(i);
+    if (i < kSpinners) {
+      core.set_driver(&spin);
+      core.set_irq_handler(0x41, [](hwsim::Core& c, int) {
+        c.consume(150);
+        if (auto* x = c.machine().metrics()) x->add("bench.ff_work_irq");
+      });
+    } else {
+      core.set_driver(&work);
+    }
+  }
+  MixedResult r;
+  r.ok = m.run_until(300'000);
+  r.hash = trace_hash(tr);
+  std::ostringstream os;
+  mx.write_json(os);
+  r.metrics = os.str();
+  for (unsigned i = 0; i < kCores; ++i) {
+    r.clocks.push_back(m.core(i).clock());
+    r.steps.push_back(m.core(i).steps_executed());
+  }
+  r.advances = m.total_advances();
+  r.ipis = m.total_ipis();
+  r.stalls = m.fault_injector().counters().stalls;
+  r.ff_steps = m.fast_forwarded_steps();
+  r.ff_windows = m.fast_forward_windows();
+  r.ff_paranoid = m.fast_forward_paranoid_checks();
+  return r;
+}
+
+void expect_mixed_equal(const MixedResult& full, const MixedResult& ff,
+                        const std::string& label) {
+  EXPECT_EQ(full.hash, ff.hash) << label;
+  EXPECT_EQ(full.metrics, ff.metrics) << label;
+  EXPECT_EQ(full.clocks, ff.clocks) << label;
+  EXPECT_EQ(full.steps, ff.steps) << label;
+  EXPECT_EQ(full.advances, ff.advances) << label;
+  EXPECT_EQ(full.ipis, ff.ipis) << label;
+  EXPECT_EQ(full.stalls, ff.stalls) << label;
+  EXPECT_EQ(full.ok, ff.ok) << label;
+}
+
+constexpr std::pair<const char*, hwsim::SchedulerKind> kMixedScheds[] = {
+    {"frontier", hwsim::SchedulerKind::kFrontier},
+    {"linear", hwsim::SchedulerKind::kLinearScan},
+    {"parallel", hwsim::SchedulerKind::kParallelEpoch},
 };
 
 struct RunResult {
@@ -406,6 +524,47 @@ TEST(FastForward, UncertifiedDriverIsNeverSkipped) {
     // even though every window is provably quiet machine-side.
     EXPECT_EQ(m.fast_forwarded_steps(), 0u);
     EXPECT_EQ(m.fast_forward_windows(), 0u);
+  }
+}
+
+TEST(FastForward, DecliningCoreBoundsWindowInsteadOfAborting) {
+  // Two cores never certify and post IPIs, traces and metrics on every
+  // step, so no window can cover the whole machine: every skip must
+  // stop at the earliest decliner's clock and still match stepping.
+  hwsim::FastForwardPolicy on;
+  on.enabled = true;
+  MixedResult baseline;
+  for (const auto& [name, sched] : kMixedScheds) {
+    const MixedResult full = run_mixed(sched, {});
+    const MixedResult ff = run_mixed(sched, on);
+    expect_mixed_equal(full, ff, name);
+    EXPECT_TRUE(ff.ok) << name;
+    EXPECT_GT(ff.ff_steps, 0u) << name;
+    EXPECT_EQ(full.ff_steps, 0u) << name;
+    if (sched == hwsim::SchedulerKind::kFrontier) {
+      baseline = full;
+    } else {
+      expect_mixed_equal(baseline, full, std::string(name) + " vs frontier");
+    }
+  }
+}
+
+TEST(FastForward, DecliningCoreWindowsPassParanoidAuditWithStalls) {
+  // Every bounded window is re-stepped and checked against its plans,
+  // with a stall window armed mid-run: stalls must strike at the same
+  // steps as in a run that never tries to skip.
+  const char* kPlan = "stall=0.3:200,window=100000-160000";
+  hwsim::FastForwardPolicy audit;
+  audit.enabled = true;
+  audit.paranoid_interval = 1;
+  for (const auto& [name, sched] : kMixedScheds) {
+    const MixedResult full = run_mixed(sched, {}, kPlan);
+    const MixedResult audited = run_mixed(sched, audit, kPlan);
+    expect_mixed_equal(full, audited, name);
+    EXPECT_GT(full.stalls, 0u) << name;
+    EXPECT_GT(audited.ff_paranoid, 0u) << name;
+    EXPECT_EQ(audited.ff_paranoid, audited.ff_windows) << name;
+    EXPECT_EQ(audited.ff_steps, 0u) << name;
   }
 }
 

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "linuxmodel/linux_stack.hpp"
 #include "mem/numa.hpp"
 #include "nautilus/event.hpp"
+#include "obs/trace.hpp"
 
 namespace iw::nautilus {
 namespace {
@@ -346,6 +350,131 @@ TEST(Kernel, ContextSwitchPaysFpCostOnlyForFpThreads) {
   const double no_fp = run_pingpong(false);
   const double with_fp = run_pingpong(true);
   EXPECT_GT(with_fp, no_fp + 300.0);
+}
+
+/// Endless spin whose steps always certify (and count the times the
+/// kernel asked).
+ThreadConfig hooked_spin(CoreId core, Cycles cost, std::uint64_t* asked) {
+  ThreadConfig tc;
+  tc.bound_core = core;
+  tc.body = [cost](ThreadContext&) { return StepResult::cont(cost); };
+  tc.inert_step_cost = [cost, asked](ThreadContext&, Cycles) {
+    ++*asked;
+    return cost;
+  };
+  return tc;
+}
+
+TEST(Kernel, FastForwardNeverSkipsAThreadOnAContendedCore) {
+  // Core 0 round-robins a hooked thread with an unhooked one; core 1
+  // runs a hooked thread alone, so skip windows exist but stop at core
+  // 0. The kernel must never even ask core 0's hook.
+  struct Run {
+    std::vector<std::uint64_t> steps;
+    std::vector<Cycles> run_cycles;
+    std::uint64_t switches{0};
+    std::uint64_t ff_steps{0};
+    std::uint64_t asked_contended{0};
+  };
+  auto run = [](bool ff) {
+    hwsim::MachineConfig mc = mcfg(2);
+    mc.fast_forward.enabled = ff;
+    hwsim::Machine m(mc);
+    KernelConfig kc;
+    kc.tick_period = 10'000;
+    kc.rr_slice = 10'000;
+    Kernel k(m, kc);
+    k.attach();
+    Run r;
+    std::uint64_t asked_alone = 0;
+    k.spawn(hooked_spin(0, 1'000, &r.asked_contended));
+    ThreadConfig plain;
+    plain.body = [](ThreadContext&) { return StepResult::cont(1'500); };
+    k.spawn(std::move(plain));
+    k.spawn(hooked_spin(1, 40, &asked_alone));
+    EXPECT_TRUE(m.run_until(200'000));
+    for (const auto& t : k.threads()) {
+      r.steps.push_back(t->steps());
+      r.run_cycles.push_back(t->run_cycles());
+    }
+    r.switches = k.stats().context_switches;
+    r.ff_steps = m.fast_forwarded_steps();
+    EXPECT_EQ(asked_alone > 0, ff);
+    return r;
+  };
+  const Run full = run(false);
+  const Run ff = run(true);
+  EXPECT_EQ(ff.asked_contended, 0u);
+  EXPECT_GT(ff.ff_steps, 0u);
+  EXPECT_EQ(full.steps, ff.steps);
+  EXPECT_EQ(full.run_cycles, ff.run_cycles);
+  EXPECT_EQ(full.switches, ff.switches);
+  EXPECT_GT(ff.switches, 4u);  // the two threads really share core 0
+}
+
+TEST(Kernel, FastForwardOnTickArmedCoreMatchesStepping) {
+  // A lone hooked thread under the Linux cost profile: the tick stays
+  // armed, so each tick bounds a window and its handler's need_resched
+  // must be cleared exactly as the stepped kContinue clears it. The
+  // body finishes after kSteps steps; its state is Thread::steps(),
+  // which the kernel commits for skipped steps too.
+  constexpr std::uint64_t kSteps = 20'000;
+  constexpr Cycles kCost = 40;
+  struct Run {
+    std::uint64_t steps{0};
+    Cycles run_cycles{0};
+    std::uint64_t switches{0};
+    std::uint64_t advances{0};
+    Cycles clock{0};
+    std::string trace;
+    std::uint64_t ff_steps{0};
+  };
+  auto run = [&](bool ff) {
+    hwsim::MachineConfig mc = mcfg(1);
+    mc.fast_forward.enabled = ff;
+    hwsim::Machine m(mc);
+    obs::TraceRecorder tr;
+    m.set_tracer(&tr);
+    auto lc = linuxmodel::LinuxCosts::knl();
+    lc.tick_period = 25'000;
+    linuxmodel::LinuxStack lx(m, lc);
+    lx.attach();
+    ThreadConfig tc;
+    tc.body = [](ThreadContext& ctx) {
+      return ctx.thread.steps() + 1 == kSteps ? StepResult::done(kCost)
+                                              : StepResult::cont(kCost);
+    };
+    tc.inert_step_cost = [](ThreadContext& ctx, Cycles horizon) -> Cycles {
+      const std::uint64_t n =
+          (horizon - ctx.core.clock() + kCost - 1) / kCost;
+      return ctx.thread.steps() + n < kSteps ? kCost : 0;
+    };
+    Thread* t = lx.spawn_user_thread(std::move(tc));
+    EXPECT_TRUE(m.run_until(2'000'000));
+    EXPECT_EQ(t->state(), ThreadState::kFinished);
+    Run r;
+    r.steps = t->steps();
+    r.run_cycles = t->run_cycles();
+    r.switches = lx.kernel().stats().context_switches;
+    r.advances = m.total_advances();
+    r.clock = m.core(0).clock();
+    std::ostringstream os;
+    tr.write_text(os);
+    r.trace = os.str();
+    r.ff_steps = m.fast_forwarded_steps();
+    return r;
+  };
+  const Run full = run(false);
+  const Run ff = run(true);
+  EXPECT_EQ(full.steps, kSteps);
+  EXPECT_EQ(full.steps, ff.steps);
+  EXPECT_EQ(full.run_cycles, ff.run_cycles);
+  EXPECT_EQ(full.switches, ff.switches);
+  EXPECT_EQ(full.advances, ff.advances);
+  EXPECT_EQ(full.clock, ff.clock);
+  EXPECT_EQ(full.trace, ff.trace);
+  EXPECT_EQ(full.ff_steps, 0u);
+  EXPECT_GT(ff.ff_steps, kSteps / 2);
 }
 
 }  // namespace
