@@ -3,7 +3,10 @@
 // regressions here inflate every figure's wall-clock cost.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "carat/native_guards.hpp"
+#include "coherence/simulator.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "des_workload.hpp"
@@ -284,6 +287,57 @@ void BM_TlbAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TlbAccess);
+
+// One CoherenceDriver-style step per iteration on a 64-core model with
+// deactivation on, as perfbench's composed_64 runs it (unbound here, so
+// only the model is timed): a round-robin core draws 4 accesses (15 %
+// to a 128-line shared region, else its 512-line private one; 30 %
+// writes) and plays them as one batch. `per_access` is ns per access.
+void BM_CoherenceAccess(benchmark::State& state) {
+  constexpr unsigned kCores = 64;
+  constexpr unsigned kPerStep = 4;
+  coherence::SimConfig sc;
+  sc.num_cores = kCores;
+  sc.selective_deactivation = true;
+  coherence::CoherenceSim sim(sc, Rng(1));
+  coherence::Trace layout;
+  auto add_region = [&](Addr base, std::uint64_t lines,
+                        coherence::RegionClass cls) {
+    coherence::Region r;
+    r.id = static_cast<std::uint32_t>(layout.regions.size());
+    r.base = base;
+    r.size = lines * 64;
+    r.cls = cls;
+    layout.regions.push_back(r);
+  };
+  add_region(0x1000'0000, 128, coherence::RegionClass::kShared);
+  for (unsigned c = 0; c < kCores; ++c) {
+    add_region(0x2000'0000 + c * 0x0100'0000ULL, 512,
+               coherence::RegionClass::kTaskPrivate);
+  }
+  Rng rng(2);
+  unsigned core = 0;
+  std::array<coherence::Access, kPerStep> batch;
+  auto step = [&] {
+    for (auto& a : batch) {
+      const auto& r = layout.regions[rng.chance(0.15) ? 0 : 1 + core];
+      a.core = core;
+      a.type = rng.chance(0.3) ? coherence::AccessType::kWrite
+                               : coherence::AccessType::kRead;
+      a.addr = r.base + rng.uniform(0, r.size / 64 - 1) * 64;
+      a.region = r.id;
+    }
+    sim.access_batch(batch, layout);
+    core = (core + 1) % kCores;
+  };
+  for (int i = 0; i < 200'000; ++i) step();  // fill every private cache
+  for (auto _ : state) step();
+  benchmark::DoNotOptimize(sim.stats().total_latency);
+  state.counters["per_access"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kPerStep),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CoherenceAccess);
 
 void BM_GuardCheckFull(benchmark::State& state) {
   carat::FullGuard g;

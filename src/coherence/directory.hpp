@@ -25,10 +25,7 @@ struct DirEntry {
 
 class Directory {
  public:
-  explicit Directory(unsigned num_cores) : num_cores_(num_cores) {}
-
   DirEntry& entry(Addr line) { return map_[line]; }
-  [[nodiscard]] bool known(Addr line) const { return map_.contains(line); }
 
   void add_sharer(Addr line, unsigned core) {
     auto& e = map_[line];
@@ -53,18 +50,9 @@ class Directory {
       it->second.state = DirState::kSharedBy;
     }
   }
-  void drop(Addr line) { map_.erase(line); }
-
-  [[nodiscard]] unsigned sharer_count(Addr line) const {
-    auto it = map_.find(line);
-    if (it == map_.end()) return 0;
-    return static_cast<unsigned>(std::popcount(it->second.sharers));
-  }
-
   [[nodiscard]] std::size_t tracked_lines() const { return map_.size(); }
 
  private:
-  unsigned num_cores_;
   std::unordered_map<Addr, DirEntry> map_;
 };
 

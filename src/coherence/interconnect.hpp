@@ -32,10 +32,11 @@ struct InterconnectStats {
 
 class Interconnect {
  public:
-  explicit Interconnect(InterconnectConfig cfg) : cfg_(cfg) {}
+  explicit Interconnect(InterconnectConfig cfg)
+      : cfg_(cfg), per_socket_(cfg.num_cores / cfg.sockets) {}
 
   [[nodiscard]] unsigned socket_of(unsigned core) const {
-    return core / (cfg_.num_cores / cfg_.sockets);
+    return core / per_socket_;
   }
 
   /// One control message from `from` to `to` (cores, or a home slice
@@ -52,6 +53,7 @@ class Interconnect {
 
  private:
   InterconnectConfig cfg_;
+  unsigned per_socket_;  // cores per socket
   InterconnectStats stats_;
 };
 

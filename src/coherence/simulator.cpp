@@ -8,11 +8,12 @@
 namespace iw::coherence {
 
 CoherenceSim::CoherenceSim(SimConfig cfg, Rng rng)
-    : cfg_(cfg), rng_(rng), dir_(cfg.num_cores), noc_(cfg.noc) {
+    : cfg_(cfg), rng_(rng), noc_(cfg.noc) {
   IW_ASSERT(cfg.num_cores >= 1 && cfg.num_cores <= 64);
   cfg_.noc.num_cores = cfg.num_cores;
+  caches_.reserve(cfg.num_cores);
   for (unsigned c = 0; c < cfg.num_cores; ++c) {
-    caches_.push_back(std::make_unique<PrivateCache>(cfg.private_cache));
+    caches_.emplace_back(cfg.private_cache);
   }
 }
 
@@ -106,7 +107,7 @@ Cycles CoherenceSim::fetch_from_home(Addr line, unsigned requester,
 
 Cycles CoherenceSim::incoherent_access(const Access& a,
                                        const Region& region) {
-  auto& cache = *caches_[a.core];
+  auto& cache = caches_[a.core];
   CacheLine* line = cache.find(a.addr);
   if (line != nullptr) {
     IW_ASSERT_MSG(line->state == LineState::kIncoherent,
@@ -140,7 +141,7 @@ Cycles CoherenceSim::incoherent_access(const Access& a,
 }
 
 Cycles CoherenceSim::coherent_access(const Access& a, const Region& region) {
-  auto& cache = *caches_[a.core];
+  auto& cache = caches_[a.core];
   const Addr line_addr = cache.line_addr(a.addr);
   CacheLine* line = cache.find(a.addr);
 
@@ -171,7 +172,7 @@ Cycles CoherenceSim::coherent_access(const Access& a, const Region& region) {
     for (unsigned c = 0; c < cfg_.num_cores; ++c) {
       if (c == a.core || !(e.sharers & (1ULL << c))) continue;
       noc_.message(home, c, false);  // invalidation
-      caches_[c]->invalidate(line_addr);
+      caches_[c].invalidate(line_addr);
       ++stats_.invalidations;
       const Cycles ack = noc_.message(c, a.core, false) +
                          cfg_.lat.invalidate_ack;
@@ -198,7 +199,7 @@ Cycles CoherenceSim::coherent_access(const Access& a, const Region& region) {
       // supplies the data.
       const unsigned owner = e.owner;
       lat += noc_.message(home, owner, false);
-      auto* oline = caches_[owner]->find(line_addr);
+      auto* oline = caches_[owner].find(line_addr);
       if (oline != nullptr) oline->state = LineState::kShared;
       lat += noc_.message(owner, a.core, true);
       ++stats_.three_hop_transfers;
@@ -226,7 +227,7 @@ Cycles CoherenceSim::coherent_access(const Access& a, const Region& region) {
     if (e.state == DirState::kOwnedBy) {
       const unsigned owner = e.owner;
       lat += noc_.message(home, owner, false);
-      caches_[owner]->invalidate(line_addr);
+      caches_[owner].invalidate(line_addr);
       ++stats_.invalidations;
       lat += noc_.message(owner, a.core, true);  // dirty data forwarded
       ++stats_.three_hop_transfers;
@@ -235,7 +236,7 @@ Cycles CoherenceSim::coherent_access(const Access& a, const Region& region) {
       for (unsigned c = 0; c < cfg_.num_cores; ++c) {
         if (c == a.core || !(e.sharers & (1ULL << c))) continue;
         noc_.message(home, c, false);
-        caches_[c]->invalidate(line_addr);
+        caches_[c].invalidate(line_addr);
         ++stats_.invalidations;
         const Cycles ack = noc_.message(c, a.core, false) +
                            cfg_.lat.invalidate_ack;
@@ -251,14 +252,27 @@ Cycles CoherenceSim::coherent_access(const Access& a, const Region& region) {
     fill_state = LineState::kModified;
   }
 
-  auto evicted = caches_[a.core]->insert(a.addr, fill_state, region.id);
+  auto evicted = caches_[a.core].insert(a.addr, fill_state, region.id);
   if (evicted) evict(a.core, *evicted);
   return lat;
 }
 
 Cycles CoherenceSim::access(const Access& a, const Region& region) {
-  SimStats before;
-  if (sub_ != nullptr) before = stats_;
+  if (cells_.accesses == nullptr) return play(a, region);
+  const SimStats before = stats_;
+  const Cycles lat = play(a, region);
+  publish_delta(before, lat);
+  return lat;
+}
+
+void CoherenceSim::access_batch(std::span<const Access> batch,
+                                const Trace& layout) {
+  IW_ASSERT(batch.size() <= kMaxBatch);
+  for (const Access& a : batch) caches_[a.core].prefetch(a.addr);
+  for (const Access& a : batch) access(a, layout.region_of(a.region));
+}
+
+Cycles CoherenceSim::play(const Access& a, const Region& region) {
   ++stats_.accesses;
   Cycles lat = deactivated(region) ? incoherent_access(a, region)
                                    : coherent_access(a, region);
@@ -266,7 +280,6 @@ Cycles CoherenceSim::access(const Access& a, const Region& region) {
     lat += rng_.uniform(0, cfg_.access_jitter_max);
   }
   stats_.total_latency += lat;
-  stats_.noc = noc_.stats();
   if (sub_ != nullptr) {
     // The interweaving step: the access's price lands on the owning
     // core's clock, so everything scheduled after it on that core (the
@@ -278,18 +291,16 @@ Cycles CoherenceSim::access(const Access& a, const Region& region) {
     if (lat > cfg_.lat.private_hit) {
       sub_->trace_span(a.core, "coherence.miss", begin, begin + lat);
     }
-    publish_delta(before, lat);
   }
   return lat;
 }
 
 void CoherenceSim::handoff(const Handoff& h, const Trace& trace) {
-  SimStats before;
-  if (sub_ != nullptr) before = stats_;
+  const SimStats before = stats_;
   const Region& r = trace.region_of(h.region);
   if (!deactivated(r)) return;  // coherent regions need no flush
   Cycles flush_cost = 0;
-  auto& cache = *caches_[h.from_core];
+  auto& cache = caches_[h.from_core];
   for (const CacheLine& line : cache.lines_in_region(h.region)) {
     // Dirty lines write back to home; clean ones just drop. The new
     // owner fetches fresh copies on demand.
@@ -301,7 +312,6 @@ void CoherenceSim::handoff(const Handoff& h, const Trace& trace) {
     ++stats_.handoff_flushes;
   }
   stats_.total_latency += flush_cost;
-  stats_.noc = noc_.stats();
   if (sub_ != nullptr) {
     const Cycles begin = sub_->core_now(h.from_core);
     if (flush_cost > 0) {
@@ -327,8 +337,7 @@ SimStats CoherenceSim::run(const Trace& trace) {
       ++next_handoff;
     }
   }
-  stats_.noc = noc_.stats();
-  return stats_;
+  return stats();
 }
 
 }  // namespace iw::coherence

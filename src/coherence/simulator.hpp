@@ -11,9 +11,10 @@
 // is the language's disentanglement guarantee, enforced by flushes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_set>
-#include <memory>
 #include <vector>
 
 #include "coherence/cache.hpp"
@@ -108,11 +109,25 @@ class CoherenceSim {
   /// Single-access entry point (exposed for unit tests).
   Cycles access(const Access& a, const Region& region);
 
+  /// Most accesses one access_batch() call takes.
+  static constexpr std::size_t kMaxBatch = 16;
+
+  /// Play up to kMaxBatch accesses, each against its region in
+  /// `layout`, exactly as that many access() calls in order would. Every
+  /// target set is prefetched first, so the batch's host cache misses
+  /// overlap instead of each access stalling on its own.
+  void access_batch(std::span<const Access> batch, const Trace& layout);
+
   /// Handoff processing (flush under deactivation).
   void handoff(const Handoff& h, const Trace& trace);
 
-  [[nodiscard]] const SimStats& stats() const { return stats_; }
-  [[nodiscard]] PrivateCache& cache(unsigned core) { return *caches_[core]; }
+  /// Counters so far, with the interconnect's folded in.
+  [[nodiscard]] SimStats stats() const {
+    SimStats s = stats_;
+    s.noc = noc_.stats();
+    return s;
+  }
+  [[nodiscard]] PrivateCache& cache(unsigned core) { return caches_[core]; }
   [[nodiscard]] Directory& directory() { return dir_; }
 
  private:
@@ -120,6 +135,8 @@ class CoherenceSim {
   Cycles fetch_from_home(Addr line, unsigned requester, unsigned home);
   Cycles coherent_access(const Access& a, const Region& region);
   Cycles incoherent_access(const Access& a, const Region& region);
+  /// access() minus the metrics delta.
+  Cycles play(const Access& a, const Region& region);
   void evict(unsigned core, const CacheLine& line);
   /// Stream the per-access stats delta into the bound registry.
   void publish_delta(const SimStats& before, Cycles lat);
@@ -127,10 +144,10 @@ class CoherenceSim {
   SimConfig cfg_;
   Rng rng_;
   std::unordered_set<Addr> llc_seen_;
-  std::vector<std::unique_ptr<PrivateCache>> caches_;
+  std::vector<PrivateCache> caches_;
   Directory dir_;
   Interconnect noc_;
-  SimStats stats_;
+  SimStats stats_;  // noc is left zero; stats() reads noc_ instead
 
   substrate::StackSubstrate* sub_{nullptr};
   /// Cached registry cells (bind-time lookups; hot paths must not pay

@@ -1,5 +1,8 @@
 #include "workloads/coherence_driver.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "common/assert.hpp"
 
 namespace iw::workloads {
@@ -45,22 +48,32 @@ void CoherenceDriver::step(hwsim::Core& core) {
   const CoreId id = core.id();
   Rng& rng = rngs_[id];
   core.consume(cfg_.compute_per_step);
-  for (unsigned i = 0; i < cfg_.accesses_per_step; ++i) {
-    const bool go_shared = rng.chance(cfg_.shared_fraction);
-    const coherence::Region& r =
-        layout_.regions[go_shared ? 0 : owned_region_[id]];
-    const std::uint64_t lines = r.size / cfg_.line_bytes;
-    coherence::Access a;
-    a.core = id;
-    a.type = rng.chance(cfg_.write_fraction) ? coherence::AccessType::kWrite
-                                             : coherence::AccessType::kRead;
-    a.addr = r.base + rng.uniform(0, lines - 1) * cfg_.line_bytes;
-    a.region = r.id;
-    // Bound to the machine, this charges the miss latency to `core`'s
+  // Draw a chunk of accesses, then play it as one batch so the model can
+  // overlap the chunk's host cache misses. The draws alone consume
+  // `rng`, so chunking keeps the one-at-a-time order exactly.
+  std::array<coherence::Access, coherence::CoherenceSim::kMaxBatch> batch;
+  for (unsigned done = 0; done < cfg_.accesses_per_step;) {
+    const unsigned n = std::min<unsigned>(cfg_.accesses_per_step - done,
+                                          batch.size());
+    for (unsigned i = 0; i < n; ++i) {
+      const bool go_shared = rng.chance(cfg_.shared_fraction);
+      const coherence::Region& r =
+          layout_.regions[go_shared ? 0 : owned_region_[id]];
+      const std::uint64_t lines = r.size / cfg_.line_bytes;
+      coherence::Access& a = batch[i];
+      a.core = id;
+      a.type = rng.chance(cfg_.write_fraction)
+                   ? coherence::AccessType::kWrite
+                   : coherence::AccessType::kRead;
+      a.addr = r.base + rng.uniform(0, lines - 1) * cfg_.line_bytes;
+      a.region = r.id;
+    }
+    // Bound to the machine, this charges the miss latencies to `core`'s
     // clock — the driver needs no explicit consume for memory time.
-    sim_.access(a, r);
-    ++accesses_;
+    sim_.access_batch({batch.data(), n}, layout_);
+    done += n;
   }
+  accesses_ += cfg_.accesses_per_step;
   ++steps_[id];
 }
 
